@@ -19,11 +19,10 @@ use crate::rules::{classify, FileInfo};
 use std::collections::BTreeMap;
 
 /// The identifiers that count as a supervision check (DESIGN.md §11):
-/// the `StopHandle` queries, the `Job::stop_now` wrapper, plus
-/// `supervise::check` / `bbgnn_supervise::check` and the scoped form
-/// `scope.check(..)` on a [`SupervisionScope`] handle.
-pub const CHECK_CALL_IDENTS: [&str; 4] =
-    ["stop_reason", "should_stop", "cancel_requested", "stop_now"];
+/// the free `stop_reason` / `cancel_requested` queries and the attack
+/// crate's `should_stop` wrapper. `supervise::check` /
+/// `bbgnn_supervise::check` count too (see [`is_check_call`]).
+const CHECK_CALL_IDENTS: [&str; 3] = ["stop_reason", "should_stop", "cancel_requested"];
 
 /// One analyzed file.
 #[derive(Debug)]
@@ -65,14 +64,12 @@ pub fn is_check_call(c: &Call) -> bool {
     if c.is_macro {
         return false;
     }
-    match c.name.as_str() {
-        "stop_reason" | "should_stop" | "cancel_requested" | "stop_now" => true,
-        "check" => matches!(
-            c.qualifier.as_deref(),
-            Some("supervise") | Some("bbgnn_supervise") | Some("scope")
-        ),
-        _ => false,
-    }
+    CHECK_CALL_IDENTS.contains(&c.name.as_str())
+        || c.name == "check"
+            && matches!(
+                c.qualifier.as_deref(),
+                Some("supervise") | Some("bbgnn_supervise")
+            )
 }
 
 fn file_stem(rel: &str) -> &str {

@@ -87,7 +87,7 @@ pub enum BbgnnError {
         cause: String,
     },
     /// The run was cooperatively cancelled (SIGINT/SIGTERM or an explicit
-    /// `CancelToken::cancel`). Work completed so far is preserved by the
+    /// `SupervisionScope::cancel`). Work completed so far is preserved by the
     /// caller; the error only reports where the cancellation was observed.
     Cancelled {
         /// The check site that observed the cancellation (e.g.

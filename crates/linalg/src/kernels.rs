@@ -151,9 +151,10 @@ impl ThreadPool {
             return;
         }
         // Worker utilization: per-worker busy time lands in each scoped
-        // thread's counter aggregate (drained when the thread exits);
-        // region wall time accrues on the calling thread. Report-side,
-        // utilization = busy_ns / (region_ns * threads).
+        // thread's counter aggregate, drained explicitly at the end of
+        // the worker (a TLS-destructor drain may land after the region
+        // returns); region wall time accrues on the calling thread.
+        // Report-side, utilization = busy_ns / (region_ns * threads).
         let traced = bbgnn_obs::enabled();
         let region = bbgnn_obs::kernel_timer("pool/region");
         // Pool workers inherit the submitting thread's supervision scope,
@@ -168,8 +169,11 @@ impl ThreadPool {
                 scope.spawn(move || {
                     maybe_injected_worker_panic();
                     let _scope = supervision.map(bbgnn_supervise::enter);
-                    let _busy = traced.then(|| bbgnn_obs::kernel_timer("pool/worker_busy"));
-                    body(b * band, chunk)
+                    {
+                        let _busy = traced.then(|| bbgnn_obs::kernel_timer("pool/worker_busy"));
+                        body(b * band, chunk);
+                    }
+                    bbgnn_obs::drain_thread();
                 });
             }
         });
@@ -251,8 +255,12 @@ impl ThreadPool {
                     scope.spawn(move || {
                         maybe_injected_worker_panic();
                         let _scope = supervision.map(bbgnn_supervise::enter);
-                        let _busy = traced.then(|| bbgnn_obs::kernel_timer("pool/worker_busy"));
-                        map(range)
+                        let part = {
+                            let _busy = traced.then(|| bbgnn_obs::kernel_timer("pool/worker_busy"));
+                            map(range)
+                        };
+                        bbgnn_obs::drain_thread();
+                        part
                     })
                 })
                 .collect();

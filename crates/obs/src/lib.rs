@@ -335,16 +335,27 @@ pub fn init_from_env() -> bool {
     }
 }
 
+/// Drains the calling thread's counter aggregates into the sink (and the
+/// live mirror) without flushing the sink. Pool workers call this at the
+/// end of their closure: the thread-exit drain runs in a TLS destructor,
+/// which may run only after `thread::scope` has returned to the caller.
+pub fn drain_thread() {
+    if !enabled() {
+        return;
+    }
+    let _ = TLS.try_with(|tls| {
+        if let Ok(mut t) = tls.try_borrow_mut() {
+            t.drain_counters();
+        }
+    });
+}
+
 /// Drains the calling thread's counter aggregates and flushes the sink.
 pub fn flush() {
     if !enabled() {
         return;
     }
-    TLS.with(|tls| {
-        if let Ok(mut t) = tls.try_borrow_mut() {
-            t.drain_counters();
-        }
-    });
+    drain_thread();
     if let Ok(mut guard) = SINK.lock() {
         if let Some(out) = guard.as_mut() {
             let _ = out.flush();
@@ -405,11 +416,7 @@ pub mod live {
     /// thread exit, or their own `flush`.
     pub fn snapshot() -> Vec<(&'static str, u64)> {
         if LIVE.load(Ordering::Relaxed) {
-            TLS.with(|tls| {
-                if let Ok(mut t) = tls.try_borrow_mut() {
-                    t.drain_counters();
-                }
-            });
+            drain_thread();
         }
         LIVE_TOTALS
             .lock()
@@ -629,6 +636,12 @@ mod tests {
     /// Tests share one global sink; serialize them.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
+    /// Takes [`TEST_LOCK`], tolerating poison: one failing test must not
+    /// cascade into every later one.
+    fn locked() -> std::sync::MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[derive(Clone, Default)]
     struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
@@ -658,7 +671,7 @@ mod tests {
 
     #[test]
     fn disabled_tracing_is_inert_and_emits_nothing() {
-        let _g = TEST_LOCK.lock().unwrap();
+        let _g = locked();
         shutdown();
         assert!(!enabled());
         let s = span!("quiet", x = 1u64);
@@ -671,7 +684,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_balance_with_fields_and_counters() {
-        let _g = TEST_LOCK.lock().unwrap();
+        let _g = locked();
         let text = capture(|| {
             let outer = span!("outer", kind = "test");
             assert_ne!(outer.id(), 0);
@@ -719,23 +732,24 @@ mod tests {
 
     #[test]
     fn worker_threads_drain_counters_on_exit() {
-        let _g = TEST_LOCK.lock().unwrap();
+        let _g = locked();
         let text = capture(|| {
             std::thread::scope(|s| {
                 s.spawn(|| {
                     counter("worker/work", 7);
+                    drain_thread();
                 });
             });
         });
         assert!(
             text.contains("worker/work") && text.contains("\"add\":7"),
-            "worker-thread counters must flush at thread exit: {text}"
+            "worker-thread counters must reach the sink once drained: {text}"
         );
     }
 
     #[test]
     fn strings_are_json_escaped() {
-        let _g = TEST_LOCK.lock().unwrap();
+        let _g = locked();
         let text = capture(|| {
             event!("weird", msg = "a\"b\\c\nd");
         });
@@ -744,7 +758,7 @@ mod tests {
 
     #[test]
     fn live_mirror_accumulates_without_a_sink() {
-        let _g = TEST_LOCK.lock().unwrap();
+        let _g = locked();
         shutdown();
         live::enable();
         live::reset();
@@ -754,6 +768,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 counter("live/a", 10);
+                drain_thread();
             });
         });
         let snap = live::snapshot();
@@ -768,7 +783,7 @@ mod tests {
 
     #[test]
     fn live_mirror_survives_trace_shutdown_and_keeps_bytes_identical() {
-        let _g = TEST_LOCK.lock().unwrap();
+        let _g = locked();
         live::enable();
         live::reset();
         let with_live = capture(|| {

@@ -10,9 +10,11 @@
 //! * a [`catch_unwind`] panic boundary per attempt;
 //! * deterministic seed-perturbed retries under the workspace
 //!   [`RetryPolicy`];
-//! * supervision check sites per attempt — a cancel (global or this job's
-//!   [`CancelToken`]) skips the cell and discards partial values, a budget
-//!   stop keeps them as `degraded` (the bounded run's intended output);
+//! * supervision check sites per attempt, inside the job's own
+//!   [`SupervisionScope`] (a child of the process root scope) — a cancel
+//!   (SIGINT, or this job's scope) skips the cell and discards partial
+//!   values, a budget stop keeps them as `degraded` (the bounded run's
+//!   intended output);
 //! * store recording, so the returned [`CellResult::artifacts`] pin
 //!   whatever content-addressed artifacts the cell touched;
 //! * an obs `job/run` span per attempt.
@@ -29,7 +31,7 @@ use bbgnn_errors::{BbgnnError, BbgnnResult, RetryPolicy};
 use bbgnn_gnn::eval::MeanStd;
 use bbgnn_graph::Graph;
 use bbgnn_linalg::ExecContext;
-use bbgnn_supervise::{CancelToken, RunBudget, Stop, SupervisionScope};
+use bbgnn_supervise::{RunBudget, Stop, SupervisionScope};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -425,15 +427,13 @@ pub struct CellResult {
     pub artifacts: Vec<String>,
 }
 
-/// A resolved, runnable job: validated names, a private [`CancelToken`],
-/// its own [`SupervisionScope`], and the retry policy its cell runs
-/// under.
+/// A resolved, runnable job: validated names, its own
+/// [`SupervisionScope`], and the retry policy its cell runs under.
 pub struct Job {
     key: String,
     spec: JobSpec,
     attack: Option<AttackerKind>,
     column: DefenderKind,
-    cancel: CancelToken,
     scope: Arc<SupervisionScope>,
     policy: RetryPolicy,
     sleeper: fn(std::time::Duration),
@@ -457,7 +457,6 @@ impl Job {
             spec,
             attack,
             column,
-            cancel: CancelToken::new(),
             scope: SupervisionScope::new(),
             policy: RetryPolicy::default(),
             sleeper: default_sleeper(),
@@ -479,7 +478,6 @@ impl Job {
             spec,
             attack,
             column,
-            cancel: CancelToken::new(),
             scope: SupervisionScope::new(),
             policy: RetryPolicy::default(),
             sleeper: default_sleeper(),
@@ -515,14 +513,6 @@ impl Job {
         RunBudget::parse_spec(spec).ok()
     }
 
-    /// A handle that cancels this job at the next attempt boundary.
-    /// Unlike [`scope`](Self::scope)'s cancel, the token does not reach
-    /// the supervised loops *inside* an attempt — prefer cancelling the
-    /// scope.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// This job's own supervision scope. [`run`](Self::run) enters it for
     /// the duration of the cell, so every check site the cell reaches —
     /// training epochs, attacker scans, eigensolver sweeps — observes it.
@@ -530,15 +520,6 @@ impl Job {
     /// describe this job and only this job.
     pub fn scope(&self) -> Arc<SupervisionScope> {
         Arc::clone(&self.scope)
-    }
-
-    fn stop_now(&self) -> Option<Stop> {
-        if self.cancel.is_cancelled() {
-            return Some(Stop::Cancelled);
-        }
-        // The scoped check covers the process-default domain too (SIGINT,
-        // `--deadline`/`--budget`), then this job's own cancel/budget.
-        self.scope.stop_reason("job/run")
     }
 
     /// Runs the cell to completion: load (or reuse) the input graph,
@@ -556,10 +537,10 @@ impl Job {
     /// the attack against it.
     pub fn run_with_graph(&self, ctx: &ExecContext, prepared: Option<&Graph>) -> CellResult {
         // The cell runs inside this job's supervision scope: check sites
-        // it reaches consult the scope (plus the process-default domain),
-        // and the job's own budget — if the spec set one — bounds this
-        // job alone. With an inactive scope and no spec budget (the CLI
-        // path) this changes nothing observable.
+        // it reaches consult the root scope, then this one, and the job's
+        // own budget — if the spec set one — bounds this job alone. With
+        // an inactive scope and no spec budget (the CLI path) this changes
+        // nothing observable.
         let _scope = bbgnn_supervise::enter(&self.scope);
         if let Some(budget) = self.budget() {
             self.scope.install_budget(&budget);
@@ -576,7 +557,7 @@ impl Job {
             // arriving mid-cell can surface as a panic from an infallible
             // numeric façade, and retrying it would burn the retry budget
             // into a `failed` outcome that a resume could never heal.
-            if let Some(stop) = self.stop_now() {
+            if let Some(stop) = bbgnn_supervise::stop_reason("job/run") {
                 return self.skipped(format!("{stop:?}"));
             }
             let seed = RetryPolicy::seed_for_attempt(self.spec.seed, attempt);
@@ -597,7 +578,12 @@ impl Job {
                     // so under a cancel a degraded value is a skip, not a
                     // result. Budget stops keep it: a bounded run's
                     // partial cells are its intended output (§11).
-                    if value.degraded && matches!(self.stop_now(), Some(Stop::Cancelled)) {
+                    if value.degraded
+                        && matches!(
+                            bbgnn_supervise::stop_reason("job/run"),
+                            Some(Stop::Cancelled)
+                        )
+                    {
                         return self.skipped("cancelled mid-cell; partial value discarded");
                     }
                     let outcome = if value.degraded {
@@ -888,11 +874,11 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_skips_without_running() {
+    fn cancelled_scope_skips_without_running() {
         let _guard = locked();
         let ctx = ExecContext::from_env();
         let job = Job::new(small_spec()).unwrap().with_sleeper(quiet_sleep);
-        job.cancel_token().cancel();
+        job.scope().cancel();
         let res = job.run(&ctx);
         assert_eq!(res.outcome, CellOutcome::Skipped);
         assert_eq!(res.value, FAILED_CELL);

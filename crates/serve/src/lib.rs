@@ -8,7 +8,8 @@
 //! `--workers N` job runners executes submissions concurrently; each job
 //! runs under its own supervision scope, so a cancel, deadline, or
 //! exhausted budget stops exactly that job and never a co-tenant (SIGINT
-//! still drains everything — it lives in the process-default domain).
+//! still drains everything — it cancels the process root scope, which
+//! every job scope observes).
 //! Queued jobs dequeue instantly on DELETE; running jobs wind down
 //! cooperatively at the same check sites SIGINT uses. Completed results
 //! are shared through the content-addressed store, so a duplicate

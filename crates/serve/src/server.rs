@@ -24,9 +24,9 @@
 //! inside its own [`SupervisionScope`](bbgnn_supervise::SupervisionScope)
 //! (entered by `Job::run`, which also installs the spec's budget into
 //! it), so `DELETE /jobs/:id`, a deadline, or an exhausted budget stops
-//! exactly one job. The process-default supervision domain is left alone
-//! — a SIGINT/SIGTERM through the shared handler still reaches every
-//! running job and drains the whole server.
+//! exactly one job. The process root scope is left alone — a
+//! SIGINT/SIGTERM through the shared handler cancels the root, which
+//! reaches every running job and drains the whole server.
 
 use crate::http::{self, ReadError, Request};
 use crate::state::{JobPhase, JobRecord, Popped, Refused, ServerState};
@@ -325,9 +325,9 @@ fn submit(state: &Arc<ServerState>, body: &str) -> (u16, String) {
 
 fn worker_loop(state: &Arc<ServerState>, worker_threads: usize) {
     loop {
-        // A process-global cancel is never raised by a DELETE any more
-        // (those cancel the job's own scope): it is the shared
-        // SIGINT/SIGTERM handler, so drain the server.
+        // A root-scope cancel is never raised by a DELETE (those cancel
+        // the job's own scope): it is the shared SIGINT/SIGTERM handler,
+        // so drain the server.
         if bbgnn_supervise::cancel_requested() {
             state.stop();
         }

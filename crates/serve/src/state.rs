@@ -10,12 +10,12 @@
 //!
 //! ## Per-job supervision
 //!
-//! Every entry holds its job's [`SupervisionScope`]: `DELETE /jobs/:id`
-//! cancels that scope and nothing else, progress snapshots read that
-//! scope's counters and nothing else. Nothing here touches the
-//! process-default supervision domain, so concurrent jobs cannot stop or
-//! account for one another, and a SIGINT (which *is* the default domain)
-//! still drains the whole server.
+//! Every entry holds its job's [`SupervisionScope`], a child of the
+//! process root scope: `DELETE /jobs/:id` cancels that scope and nothing
+//! else, progress snapshots read that scope's counters and nothing else.
+//! Nothing here touches the root, so concurrent jobs cannot stop or
+//! account for one another, and a SIGINT (which cancels the root) still
+//! drains the whole server.
 //!
 //! ## Admission
 //!

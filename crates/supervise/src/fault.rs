@@ -95,7 +95,7 @@ pub fn install(spec: &str) -> Result<(), String> {
     if let Ok(mut p) = PLAN.write() {
         *p = Some(plan);
         FAULTS_ON.store(true, Ordering::Relaxed);
-        super::ACTIVE.store(true, Ordering::Relaxed);
+        super::ROOT.activate();
     }
     Ok(())
 }
@@ -142,8 +142,8 @@ fn parse_plan(spec: &str) -> Result<Plan, String> {
     Ok(Plan { seed, sites })
 }
 
-/// Removes any installed plan (tests; idempotent). Leaves the master
-/// supervision gate to [`super::shutdown`].
+/// Removes any installed plan (tests; idempotent). Leaves the root
+/// scope's gate to [`super::shutdown`].
 pub(crate) fn clear() {
     FAULTS_ON.store(false, Ordering::Relaxed);
     if let Ok(mut p) = PLAN.write() {

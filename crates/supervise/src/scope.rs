@@ -1,24 +1,24 @@
-//! Scoped supervision: per-scope cancellation, deadlines, and budget
-//! accounting (DESIGN.md §11) — the multi-tenant form of the
-//! process-global knobs in the crate root.
+//! Supervision scopes: per-scope cancellation, deadlines, and budget
+//! accounting (DESIGN.md §11).
 //!
-//! A [`SupervisionScope`] carries exactly the state the globals do
-//! (cancel flag, deadline, epoch/query/memory caps and their used
-//! counters), but owned by one logical run instead of the process. A
-//! thread **enters** a scope ([`enter`]); while entered, every free
-//! function in the crate root ([`stop_reason`](crate::stop_reason),
-//! [`check`](crate::check), the `note_*` accounting hooks) consults the
-//! entered scope *in addition to* the process-default domain. The
-//! process-default domain — the globals the CLI binaries and the signal
-//! handler use — always takes precedence, so:
+//! A [`SupervisionScope`] is one logical run's cancel flag, deadline,
+//! epoch/query/memory caps and used counters. The process owns one root
+//! scope (the crate root's `ROOT`, configured by the free functions and
+//! the signal handler); everything else is a child scope made with
+//! [`SupervisionScope::new`]. A thread **enters** a child ([`enter`]);
+//! while entered, every free function in the crate root
+//! ([`stop_reason`](crate::stop_reason), [`check`](crate::check), the
+//! `note_*` accounting hooks) consults the root first and then the
+//! entered child, so:
 //!
-//! * with no scope entered, behavior is byte-identical to the
-//!   pre-scope crate: one global domain, period;
-//! * SIGINT/SIGTERM ([`request_cancel`](crate::request_cancel)) reaches
-//!   every scope — a scoped job cannot outlive the process's will to die;
-//! * a process-wide budget (`--deadline` / `--budget`) bounds scoped
-//!   work too, while a *scope's* budget or cancel never leaks to a
-//!   sibling scope or to the default domain.
+//! * with no child entered, only the root applies;
+//! * SIGINT/SIGTERM ([`request_cancel`](crate::request_cancel)) cancels
+//!   the root and so reaches every child — a scoped job cannot outlive
+//!   the process's will to die;
+//! * a process-wide budget (`--deadline` / `--budget`) bounds children
+//!   too, while a *child's* budget or cancel never reaches a sibling or
+//!   the root;
+//! * a child's accounting also counts toward the root totals.
 //!
 //! Scope entry is thread-local. Kernel regions propagate the submitting
 //! thread's scope into their pool workers (see
@@ -26,29 +26,43 @@
 //! a parallel region — the GF-Attack eigensolver exception of §11 —
 //! observe the same scope as the thread that launched the region.
 
-use crate::{RunBudget, Stop, UNSET};
-use bbgnn_errors::BbgnnResult;
+use crate::{RunBudget, Stop};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
+
+/// Sentinel for "no cap configured" in the budget atomics.
+const UNSET: u64 = u64::MAX;
+
+/// Monotonic time origin for the deadline arithmetic. The clock is read
+/// only while a deadline is configured; with supervision off (or with
+/// only epoch/query/memory caps) no check site ever reads a clock, which
+/// is what keeps the off path byte-identical and the `clock` lint story
+/// honest: time gates loop *continuation* here, it never enters numerics.
+fn anchor() -> Instant {
+    static ANCHOR: OnceLock<Instant> = OnceLock::new();
+    *ANCHOR.get_or_init(Instant::now)
+}
 
 /// Per-scope supervision state: one logical run's cancel flag, budget
 /// caps, and accounting counters.
 ///
-/// Constructed with [`SupervisionScope::new`] (an `Arc`, because the
-/// scope is shared between the thread running the work and whoever may
-/// cancel or observe it — in `bbgnn-serve`, the HTTP threads). All
-/// operations are atomic loads/stores; a scope is safe to poke from any
-/// thread.
+/// Child scopes are constructed with [`SupervisionScope::new`] (an `Arc`,
+/// because the scope is shared between the thread running the work and
+/// whoever may cancel or observe it — in `bbgnn-serve`, the HTTP
+/// threads). All operations are atomic loads/stores; a scope is safe to
+/// poke from any thread, and cancelling one is async-signal-safe.
 pub struct SupervisionScope {
     /// Scope gate: accounting and stop checks are live. Set by
     /// [`activate`](Self::activate), [`install_budget`](Self::install_budget),
     /// and [`cancel`](Self::cancel).
     active: AtomicBool,
     cancelled: AtomicBool,
-    /// Deadline as nanoseconds since the process [`anchor`](crate::anchor);
-    /// `UNSET` = none.
+    /// Deadline as nanoseconds since [`anchor`]; `UNSET` = none.
     deadline_nanos: AtomicU64,
+    /// The *configured* deadline in whole seconds — what a deadline stop
+    /// reports as its limit (`deadline_nanos` is an absolute instant).
     deadline_limit_secs: AtomicU64,
     epoch_cap: AtomicU64,
     query_cap: AtomicU64,
@@ -56,14 +70,16 @@ pub struct SupervisionScope {
     epochs_used: AtomicU64,
     queries_used: AtomicU64,
     peak_bytes: AtomicU64,
+    /// Whether this scope's stop was already announced on the obs stream
+    /// (once, at the first check site that observes it).
     stop_announced: AtomicBool,
 }
 
 impl SupervisionScope {
-    /// A fresh, inactive scope. Until it is activated, cancelled, or
-    /// given a budget, entering it changes nothing observable.
-    pub fn new() -> Arc<SupervisionScope> {
-        Arc::new(SupervisionScope {
+    /// An inactive scope with no caps; `const` so the root can be a
+    /// plain `static`.
+    pub(crate) const fn inactive() -> SupervisionScope {
+        SupervisionScope {
             active: AtomicBool::new(false),
             cancelled: AtomicBool::new(false),
             deadline_nanos: AtomicU64::new(UNSET),
@@ -75,7 +91,33 @@ impl SupervisionScope {
             queries_used: AtomicU64::new(0),
             peak_bytes: AtomicU64::new(0),
             stop_announced: AtomicBool::new(false),
-        })
+        }
+    }
+
+    /// A fresh, inactive child scope. Until it is activated, cancelled,
+    /// or given a budget, entering it changes nothing observable.
+    pub fn new() -> Arc<SupervisionScope> {
+        Arc::new(SupervisionScope::inactive())
+    }
+
+    /// Returns every field to its [`inactive`](Self::inactive) value,
+    /// deactivating last.
+    pub(crate) fn reset(&self) {
+        self.cancelled.store(false, Ordering::Relaxed);
+        for cap in [
+            &self.deadline_nanos,
+            &self.deadline_limit_secs,
+            &self.epoch_cap,
+            &self.query_cap,
+            &self.mem_cap,
+        ] {
+            cap.store(UNSET, Ordering::Relaxed);
+        }
+        for used in [&self.epochs_used, &self.queries_used, &self.peak_bytes] {
+            used.store(0, Ordering::Relaxed);
+        }
+        self.stop_announced.store(false, Ordering::Relaxed);
+        self.active.store(false, Ordering::Relaxed);
     }
 
     /// Turns accounting on without installing any cap: the `note_*`
@@ -93,27 +135,26 @@ impl SupervisionScope {
     }
 
     /// Requests cooperative cancellation of this scope only. Siblings
-    /// and the process-default domain are untouched. Idempotent; atomic
-    /// stores only.
+    /// and the root are untouched (cancelling the root reaches every
+    /// child). Idempotent; atomic stores only.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Relaxed);
         self.active.store(true, Ordering::Relaxed);
     }
 
-    /// Whether this scope (or the whole process) was cancelled.
+    /// Whether this scope or the root (the whole process) was cancelled.
     pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed) || crate::cancel_requested()
+        self.cancelled.load(Ordering::Relaxed) || crate::ROOT.cancelled.load(Ordering::Relaxed)
     }
 
     /// Installs `budget` into this scope. An empty budget is a no-op.
-    /// The deadline clock starts now. Mirrors
-    /// [`install_budget`](crate::install_budget), scoped.
+    /// The deadline clock starts now.
     pub fn install_budget(&self, budget: &RunBudget) {
         if budget.is_empty() {
             return;
         }
         if let Some(d) = budget.deadline {
-            let at = crate::anchor().elapsed() + d;
+            let at = anchor().elapsed() + d;
             self.deadline_nanos.store(
                 u64::try_from(at.as_nanos()).unwrap_or(UNSET - 1),
                 Ordering::Relaxed,
@@ -133,44 +174,36 @@ impl SupervisionScope {
         self.active.store(true, Ordering::Relaxed);
     }
 
-    /// The scoped check: first the process-default domain (global
-    /// cancel *and* global budget — SIGINT and `--deadline` bound scoped
-    /// work too), then this scope's own cancel/budget state. Announces
-    /// the stop once per domain on the obs stream, exactly like
-    /// [`stop_reason`](crate::stop_reason).
-    pub fn stop_reason(&self, site: &str) -> Option<Stop> {
-        if crate::global_active() {
-            if let Some(stop) = crate::global_stop_slow() {
-                crate::announce_once(crate::global_announce_flag(), site, &stop);
-                return Some(stop);
-            }
-        }
+    /// This scope's half of [`stop_reason`](crate::stop_reason): `None`
+    /// (one relaxed load) while inactive, else its own stop state,
+    /// announced once on the obs stream.
+    pub(crate) fn stop(&self, site: &str) -> Option<Stop> {
         if !self.is_active() {
             return None;
         }
         let stop = self.local_stop()?;
-        crate::announce_once(&self.stop_announced, site, &stop);
+        if !self.stop_announced.swap(true, Ordering::Relaxed) {
+            match &stop {
+                Stop::Cancelled => {
+                    bbgnn_obs::event!("supervise/stop", site = site, why = "cancelled")
+                }
+                Stop::Budget { resource, .. } => {
+                    bbgnn_obs::event!("supervise/stop", site = site, why = *resource)
+                }
+            }
+        }
         Some(stop)
     }
 
-    /// [`stop_reason`](Self::stop_reason) as a `Result`, naming the
-    /// check site.
-    pub fn check(&self, site: &str) -> BbgnnResult<()> {
-        match self.stop_reason(site) {
-            None => Ok(()),
-            Some(stop) => Err(stop.into_error(site)),
-        }
-    }
-
-    /// This scope's own stop state (no global domain, no announce):
-    /// cancel first, then each cap against this scope's counters.
+    /// This scope's own stop state (no root, no announce): cancel first,
+    /// then each cap against this scope's counters.
     pub(crate) fn local_stop(&self) -> Option<Stop> {
         if self.cancelled.load(Ordering::Relaxed) {
             return Some(Stop::Cancelled);
         }
         let deadline = self.deadline_nanos.load(Ordering::Relaxed);
         if deadline != UNSET {
-            let now = u64::try_from(crate::anchor().elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let now = u64::try_from(anchor().elapsed().as_nanos()).unwrap_or(u64::MAX);
             if now >= deadline {
                 return Some(Stop::Budget {
                     resource: "deadline",
@@ -200,10 +233,6 @@ impl SupervisionScope {
             });
         }
         None
-    }
-
-    pub(crate) fn announce_flag(&self) -> &AtomicBool {
-        &self.stop_announced
     }
 
     pub(crate) fn add_epochs(&self, n: u64) {
@@ -254,15 +283,10 @@ thread_local! {
 #[must_use = "the scope is exited when the guard drops; bind it (`let _scope = ...`)"]
 pub struct ScopeGuard {
     prev: Option<Arc<SupervisionScope>>,
-    restored: bool,
 }
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        if self.restored {
-            return;
-        }
-        self.restored = true;
         let prev = self.prev.take();
         let _ = CURRENT.try_with(|c| *c.borrow_mut() = prev);
     }
@@ -272,10 +296,7 @@ impl Drop for ScopeGuard {
 /// Nested entries restore the outer scope on exit.
 pub fn enter(scope: &Arc<SupervisionScope>) -> ScopeGuard {
     let prev = CURRENT.with(|c| c.borrow_mut().replace(Arc::clone(scope)));
-    ScopeGuard {
-        prev,
-        restored: false,
-    }
+    ScopeGuard { prev }
 }
 
 /// The scope the current thread has entered, if any. Kernel regions use
@@ -284,21 +305,13 @@ pub fn current_scope() -> Option<Arc<SupervisionScope>> {
     CURRENT.try_with(|c| c.borrow().clone()).ok().flatten()
 }
 
-/// Whether the current thread's entered scope (if any) is active — the
-/// scoped half of [`enabled`](crate::enabled).
-pub(crate) fn current_is_active() -> bool {
+/// Runs `f` against the current thread's entered scope; `None` when no
+/// scope is entered. One thread-local probe.
+pub(crate) fn with_current<R>(f: impl FnOnce(&SupervisionScope) -> R) -> Option<R> {
     CURRENT
-        .try_with(|c| c.borrow().as_ref().is_some_and(|s| s.is_active()))
-        .unwrap_or(false)
-}
-
-/// Runs `f` against the current thread's entered scope, if any.
-pub(crate) fn with_current<F: FnOnce(&SupervisionScope)>(f: F) {
-    let _ = CURRENT.try_with(|c| {
-        if let Some(scope) = c.borrow().as_ref() {
-            f(scope);
-        }
-    });
+        .try_with(|c| c.borrow().as_deref().map(f))
+        .ok()
+        .flatten()
 }
 
 #[cfg(test)]
@@ -337,7 +350,7 @@ mod tests {
             let _e = enter(&b);
             assert!(stop_reason("test/site").is_none(), "sibling unaffected");
         }
-        // No scope entered: the default domain never saw the cancel.
+        // No scope entered: the root never saw the cancel.
         assert!(stop_reason("test/site").is_none());
         assert!(!crate::cancel_requested());
     }
@@ -362,7 +375,7 @@ mod tests {
             ));
         }
         assert_eq!(scope.epochs_used(), 5);
-        // Outside the scope the default domain has no cap to trip.
+        // Outside the scope the root has no cap to trip.
         assert!(stop_reason("train/epoch").is_none());
     }
 
@@ -395,8 +408,57 @@ mod tests {
         let _g = locked();
         let scope = SupervisionScope::new();
         scope.cancel();
-        let err = scope.check("job/run").unwrap_err();
+        let _e = enter(&scope);
+        let err = check("job/run").unwrap_err();
         assert!(err.is_supervision_stop());
-        assert!(scope.stop_reason("job/run").is_some());
+        assert!(stop_reason("job/run").is_some());
+    }
+
+    #[test]
+    fn root_budget_trips_inside_an_entered_scope() {
+        let _g = locked();
+        crate::install_budget(&RunBudget {
+            epochs: Some(3),
+            ..Default::default()
+        });
+        let scope = SupervisionScope::new();
+        let _e = enter(&scope);
+        note_epochs(2);
+        assert!(stop_reason("train/epoch").is_none());
+        note_epochs(1);
+        assert_eq!(
+            stop_reason("train/epoch"),
+            Some(Stop::Budget {
+                resource: "epochs",
+                limit: 3
+            }),
+            "a process budget bounds work inside a child scope"
+        );
+        assert_eq!(scope.epochs_used(), 3);
+        assert_eq!(crate::epochs_used(), 3);
+        shutdown();
+    }
+
+    #[test]
+    fn sibling_scopes_count_apart_and_sum_into_the_root() {
+        let _g = locked();
+        let a = SupervisionScope::new();
+        let b = SupervisionScope::new();
+        std::thread::scope(|s| {
+            for (scope, epochs) in [(&a, 3), (&b, 5)] {
+                s.spawn(move || {
+                    scope.activate();
+                    let _e = enter(scope);
+                    for _ in 0..epochs {
+                        note_epochs(1);
+                    }
+                });
+            }
+        });
+        assert_eq!(a.epochs_used(), 3);
+        assert_eq!(b.epochs_used(), 5);
+        assert_eq!(crate::epochs_used(), 8, "the root totals every child");
+        assert!(!crate::enabled(), "child activity never activates the root");
+        shutdown();
     }
 }

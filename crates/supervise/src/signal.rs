@@ -2,8 +2,8 @@
 //!
 //! The experiment binaries install this once at startup (via
 //! `ExpConfig::init_from`). The handler does exactly one async-signal-safe
-//! thing: set the process-global cancellation flag with relaxed atomic
-//! stores ([`crate::request_cancel`]). Every supervised loop then winds
+//! thing: cancel the root scope with relaxed atomic stores
+//! ([`crate::request_cancel`]). Every supervised loop then winds
 //! down at its next deterministic check site, the harness flushes the
 //! current checkpoint, and the binary exits cleanly with a
 //! degraded-summary line instead of dying mid-write. A second signal does
@@ -37,10 +37,11 @@ pub fn install() {
     }
 
     // SAFETY: `signal` is the C standard library's handler registration.
-    // The handler we register only performs relaxed atomic stores on
-    // `static AtomicBool`s (async-signal-safe: no allocation, no locks,
-    // no reentrancy into Rust runtime machinery), and it stays valid for
-    // the life of the process because it is a plain `extern "C" fn` item.
+    // The handler we register only performs relaxed atomic stores on the
+    // `AtomicBool` fields of the `static` root scope (async-signal-safe:
+    // no allocation, no locks, no reentrancy into Rust runtime
+    // machinery), and it stays valid for the life of the process because
+    // it is a plain `extern "C" fn` item.
     unsafe {
         let _ = signal(SIGINT, on_signal);
         let _ = signal(SIGTERM, on_signal);

@@ -174,8 +174,7 @@ fn default_domain_is_untouched_by_scoped_activity() {
         assert!(stop_reason("attack/scan").is_some());
     }
     // Off the scope's thread-local entry, supervision is off again: the
-    // scope's budget and counters must not have activated the default
-    // domain.
+    // scope's budget and counters must not have activated the root scope.
     assert!(!bbgnn_supervise::enabled());
     assert!(stop_reason("attack/scan").is_none());
 }
