@@ -60,12 +60,22 @@ fn main() {
                 .map(|c| format!("{}/{}/{}", spec.name(), row.name(), c.name()))
                 .collect();
             // Poisoning is the expensive shared setup of a row; skip it
-            // entirely when resuming past a fully checkpointed row.
+            // entirely when resuming past a fully checkpointed row. An
+            // attacker that panics fails its own row, not the binary.
             let row_done = keys.iter().all(|k| harness.is_done(k));
-            let (poisoned, result) = if row_done {
-                (g.clone(), None)
+            let setup = if row_done {
+                Ok((g.clone(), None))
             } else {
-                row.poison(&g)
+                harness.row_setup(&keys, || row.poison(&g))
+            };
+            let mut cells = vec![row.name()];
+            let (poisoned, result) = match setup {
+                Ok(setup) => setup,
+                Err(failed) => {
+                    cells.extend(failed);
+                    table.push_row(cells);
+                    continue;
+                }
             };
             if let Some(r) = &result {
                 eprintln!(
@@ -76,7 +86,6 @@ fn main() {
                     r.elapsed.as_secs_f64()
                 );
             }
-            let mut cells = vec![row.name()];
             for (col, key) in columns.iter().zip(&keys) {
                 let job_spec = JobSpec {
                     dataset: spec.name().to_string(),

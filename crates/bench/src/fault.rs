@@ -207,7 +207,7 @@ impl FaultRunner {
                 // the perturbed-seed retry is cheap and deterministic.
                 Err(payload) => BbgnnError::ExperimentAborted {
                     cell: key.to_string(),
-                    cause: format!("panic: {}", panic_message(&payload)),
+                    cause: format!("panic: {}", panic_message(&*payload)),
                 },
             };
             // A supervision stop surfacing as an error is not a failure of
@@ -309,6 +309,45 @@ impl FaultRunner {
             }
         }
         FAILED_CELL.to_string()
+    }
+
+    /// Runs the shared setup of a table row (e.g. poisoning the graph
+    /// every cell of the row trains on) inside the same panic boundary a
+    /// cell gets. On success returns `Ok(setup())`. On a panic the row
+    /// cannot run, so each cell in `keys` resolves without its closure: a
+    /// checkpointed cell replays its value, any other is recorded `failed`
+    /// with the panic as its cause (or `skipped`, not persisted, under a
+    /// supervision stop). `Err` holds those rendered values, in `keys`
+    /// order, and the sweep goes on with the next row.
+    pub fn row_setup<T>(
+        &mut self,
+        keys: &[String],
+        setup: impl FnOnce() -> T,
+    ) -> Result<T, Vec<String>> {
+        let payload = match catch_unwind(AssertUnwindSafe(setup)) {
+            Ok(value) => return Ok(value),
+            Err(payload) => payload,
+        };
+        let cause = format!("row setup panicked: {}", panic_message(&*payload));
+        let stopped = bbgnn_supervise::stop_reason("bench/cell").is_some();
+        let cells = keys
+            .iter()
+            .map(|key| {
+                if let Some(done) = self.checkpoint.get(key) {
+                    self.stats.cached += 1;
+                    return done.value.clone();
+                }
+                if stopped {
+                    self.stats.skipped += 1;
+                } else {
+                    eprintln!("cell {key}: giving up ({cause})");
+                    self.stats.failed += 1;
+                    self.persist(key, FAILED_CELL, "failed", 1, Some(&cause), Vec::new());
+                }
+                FAILED_CELL.to_string()
+            })
+            .collect();
+        Err(cells)
     }
 
     /// One-line outcome summary for the end of a sweep, e.g.
@@ -418,6 +457,67 @@ mod tests {
         assert_eq!(seeds[0], 7, "first attempt must use the base seed");
         assert_eq!(seeds[1], RetryPolicy::seed_for_attempt(7, 1));
         assert_eq!(r.stats().retried, 1);
+        let _ = std::fs::remove_dir_all(&cfg.out_dir);
+    }
+
+    #[test]
+    fn panicking_row_setup_fails_its_cells_and_the_next_row_runs() {
+        let _guard = locked();
+        let cfg = test_cfg("row_setup");
+        let mut r = FaultRunner::new(&cfg, "t");
+        let keys = |row: &str| -> Vec<String> {
+            ["GCN", "GNAT"]
+                .iter()
+                .map(|col| format!("cora/{row}/{col}"))
+                .collect()
+        };
+        let poison = || -> u32 { panic!("lanczos_topk failed to converge") };
+        let cells = r.row_setup(&keys("GF-Attack"), poison).unwrap_err();
+        assert_eq!(cells, [FAILED_CELL, FAILED_CELL]);
+        assert_eq!(r.stats().failed, 2);
+        assert!(r.summary().contains("2 failed"), "{}", r.summary());
+        let detail = r
+            .checkpoint
+            .get("cora/GF-Attack/GCN")
+            .unwrap()
+            .detail
+            .clone();
+        assert!(
+            detail
+                .unwrap_or_default()
+                .contains("lanczos_topk failed to converge"),
+            "failed cells are persisted with the panic as their cause"
+        );
+
+        // The next row's setup and cells run normally.
+        let next = keys("PEEGA");
+        assert_eq!(r.row_setup(&next, || 7u32), Ok(7));
+        assert_eq!(r.cell(&next[0], 0, |_| Ok(CellValue::clean("0.8"))), "0.8");
+        assert_eq!(r.stats().ok, 1);
+
+        // A resumed run replays the failed row from the checkpoint.
+        let mut resumed = FaultRunner::new(&cfg, "t");
+        let cells = resumed.row_setup(&keys("GF-Attack"), poison).unwrap_err();
+        assert_eq!(cells, [FAILED_CELL, FAILED_CELL]);
+        assert_eq!((resumed.stats().cached, resumed.stats().failed), (2, 0));
+        let _ = std::fs::remove_dir_all(&cfg.out_dir);
+    }
+
+    #[test]
+    fn a_failed_cell_records_the_panic_message() {
+        let _guard = locked();
+        let cfg = test_cfg("panic_cause");
+        let mut r = FaultRunner::with_policy(&cfg, "t", fast_policy(0));
+        let v = r.cell("boom", 0, |_| -> Result<CellValue, BbgnnError> {
+            panic!("synthetic blowup {}", 42)
+        });
+        assert_eq!(v, FAILED_CELL);
+        let detail = r.checkpoint.get("boom").unwrap().detail.clone();
+        assert!(
+            detail.unwrap_or_default().contains("synthetic blowup 42"),
+            "{:?}",
+            r.checkpoint.get("boom")
+        );
         let _ = std::fs::remove_dir_all(&cfg.out_dir);
     }
 

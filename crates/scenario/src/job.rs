@@ -608,7 +608,7 @@ impl Job {
                 // and the perturbed-seed retry is cheap and deterministic.
                 Err(payload) => BbgnnError::ExperimentAborted {
                     cell: self.key.clone(),
-                    cause: format!("panic: {}", panic_message(&payload)),
+                    cause: format!("panic: {}", panic_message(&*payload)),
                 },
             };
             // A supervision stop surfacing as an error is not a failure of

@@ -156,17 +156,19 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Writes one complete JSON response and flushes. `keep_alive` selects
 /// the `Connection` header; the caller closes the stream when it said
-/// `close`. Best-effort: a peer that hung up mid-write is its own
+/// `close`. Head and body leave in a single write, so the response is
+/// one segment rather than a head followed by a body that could wait on
+/// the peer's ACK. Best-effort: a peer that hung up mid-write is its own
 /// problem, not the server's.
 pub fn write_response<W: Write>(stream: &mut W, status: u16, body: &str, keep_alive: bool) {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
+    let mut out = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         reason(status),
         body.len()
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
+    out.push_str(body);
+    let _ = stream.write_all(out.as_bytes());
     let _ = stream.flush();
 }
 
@@ -278,6 +280,34 @@ mod tests {
         write_response(&mut out, 200, "{}", true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
+    }
+
+    /// Counts `write` calls; accepts every byte of each.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_leaves_in_one_write() {
+        let mut out = CountingWriter::default();
+        write_response(&mut out, 200, "{\"id\": 1}", true);
+        assert_eq!(out.writes, 1, "head and body must share one write");
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(text.ends_with("\r\n\r\n{\"id\": 1}"), "{text}");
     }
 
     #[test]

@@ -45,7 +45,9 @@ const WORKER_WAIT: Duration = Duration::from_millis(200);
 /// Per-connection read timeout: a stalled client is dropped, the
 /// connection thread exits. Doubles as the keep-alive idle timeout.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
-/// SSE tick: how often `/jobs/:id/events` re-snapshots the job.
+/// SSE heartbeat: the longest `/jobs/:id/events` goes without an event
+/// while its job is queued or running. Phase changes do not wait for it —
+/// the stream is woken by the transition itself.
 const SSE_TICK: Duration = Duration::from_millis(150);
 
 /// A running server: owns the accept thread and the worker pool.
@@ -142,13 +144,22 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
         if state.stopping() {
             break; // woken by the shutdown self-connect
         }
-        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+        prepare_stream(&stream);
         let state = Arc::clone(state);
         // Detached: the thread exits with its connection (bounded by the
         // read timeout), and on drain every keep-alive loop closes after
         // the in-flight response.
         std::thread::spawn(move || serve_connection(stream, &state));
     }
+}
+
+/// Socket options for an accepted connection. `TCP_NODELAY` matters:
+/// every response is small, and with Nagle's algorithm on, a write that
+/// follows an unacknowledged one (an SSE event after the SSE header)
+/// waits for the client's delayed ACK, about 40 ms.
+fn prepare_stream(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
 }
 
 /// Serves one socket until it closes: requests are answered in order on
@@ -202,11 +213,13 @@ fn sse_target(request: &Request) -> Option<u64> {
         .ok()
 }
 
-/// Streams a job's lifecycle as Server-Sent Events: one event per tick
-/// named after the phase (`queued`/`progress`/`done`/`cancelled`), with
-/// the `GET /jobs/:id` snapshot as compact-JSON data. The stream ends —
-/// by connection close, as SSE specifies — after the terminal event, on
-/// server drain, or when the client goes away.
+/// Streams a job's lifecycle as Server-Sent Events, named after the
+/// phase (`queued`/`progress`/`done`/`cancelled`), with the
+/// `GET /jobs/:id` snapshot as compact-JSON data. An event goes out on
+/// every phase change, and at least every [`SSE_TICK`] while the job is
+/// queued or running. The stream ends — by connection close, as SSE
+/// specifies — after the terminal event, on server drain, or when the
+/// client goes away.
 fn stream_events(stream: &mut TcpStream, state: &ServerState, id: u64) {
     bbgnn_obs::counter("serve/sse_streams", 1);
     if http::write_sse_header(stream).is_err() {
@@ -228,8 +241,7 @@ fn stream_events(stream: &mut TcpStream, state: &ServerState, id: u64) {
         if matches!(phase, JobPhase::Done | JobPhase::Cancelled) || state.stopping() {
             return;
         }
-        // lint: allow(clock) reason=SSE poll interval for live progress streaming, not experiment code
-        std::thread::sleep(SSE_TICK);
+        state.wait_change(id, phase, SSE_TICK);
     }
 }
 
@@ -444,21 +456,58 @@ mod tests {
         &rest[..end]
     }
 
+    /// Follows `GET /jobs/:id/events` until the job reaches one of
+    /// `states` (a `progress` event stands for `running`) and returns that
+    /// snapshot, pretty-printed like a `GET /jobs/:id` body. Panics if
+    /// the stream ends first.
     fn poll_until(addr: SocketAddr, id: &str, states: &[&str]) -> String {
-        for _ in 0..2400 {
-            let (status, body) = call(addr, "GET", &format!("/jobs/{id}"), "");
-            assert_eq!(status, 200, "{body}");
-            if states.contains(&get_field(&body, "state")) {
-                return body;
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        write!(
+            reader.get_mut(),
+            "GET /jobs/{id}/events HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n"
+        )
+        .unwrap();
+        let (status, _) = read_head(&mut reader);
+        assert_eq!(status, 200, "no event stream for job {id}");
+        let mut event = String::new();
+        let mut line = String::new();
+        loop {
+            line.clear();
+            if reader.read_line(&mut line).unwrap() == 0 {
+                panic!("job {id}'s stream ended before {states:?}");
             }
-            // lint: allow(clock) reason=test poll interval against a live server, not experiment code
-            std::thread::sleep(Duration::from_millis(50));
+            let line = line.trim_end();
+            if let Some(name) = line.strip_prefix("event: ") {
+                event = name.to_string();
+            } else if let Some(data) = line.strip_prefix("data: ") {
+                let state = if event == "progress" {
+                    "running"
+                } else {
+                    &event
+                };
+                if states.contains(&state) {
+                    return Json::parse(data).unwrap().to_pretty();
+                }
+            }
         }
-        panic!("job {id} never reached {states:?}");
     }
 
     const SMALL: &str =
         r#"{"dataset": "cora", "eval": {"kind": "accuracy", "runs": 1, "scale": 0.05}}"#;
+
+    #[test]
+    fn accepted_streams_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        prepare_stream(&accepted);
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), Some(READ_TIMEOUT));
+    }
 
     #[test]
     fn end_to_end_submit_poll_warm_replay_and_errors() {

@@ -1,19 +1,23 @@
 //! Shared server state: the job table, the bounded FIFO queue, and the
 //! store-backed result cache.
 //!
-//! One `Mutex<Inner>` + `Condvar` pair coordinates the HTTP connection
-//! threads (submit / snapshot / cancel / SSE) with the worker pool (pop /
-//! finish). Locks are held only for table mutation — never across a job
-//! run or an I/O call — and every acquisition goes through
-//! [`PoisonError::into_inner`]: a panic while holding the lock must not
-//! wedge the whole server.
+//! One `Mutex<Inner>` coordinates the HTTP connection threads (submit /
+//! snapshot / cancel / SSE) with the worker pool (pop / finish), through
+//! two condition variables: `work` wakes a worker when a job is queued,
+//! `changed` wakes every SSE stream when any job changes phase (see
+//! [`ServerState::wait_change`]). Locks are held only for table mutation
+//! — never across a job run or an I/O call — and every acquisition goes
+//! through [`PoisonError::into_inner`]: a panic while holding the lock
+//! must not wedge the whole server.
 //!
 //! ## Per-job supervision
 //!
 //! Every entry holds its job's [`SupervisionScope`], a child of the
 //! process root scope: `DELETE /jobs/:id` cancels that scope and nothing
-//! else, progress snapshots read that scope's counters and nothing else.
-//! Nothing here touches the root, so concurrent jobs cannot stop or
+//! else, and a snapshot's `epochs`/`queries`/`peak_bytes` come from that
+//! scope alone. Its `counters` do not: they are the obs live mirror,
+//! which is process-wide, so with several workers they sum every running
+//! job. Nothing here touches the root, so concurrent jobs cannot stop or
 //! account for one another, and a SIGINT (which cancels the root) still
 //! drains the whole server.
 //!
@@ -122,6 +126,8 @@ pub enum Refused {
 pub struct ServerState {
     inner: Mutex<Inner>,
     work: Condvar,
+    /// Notified (all waiters) on every phase transition and on drain.
+    changed: Condvar,
     capacity: usize,
     workers: usize,
 }
@@ -212,6 +218,7 @@ impl ServerState {
                 stopping: false,
             }),
             work: Condvar::new(),
+            changed: Condvar::new(),
             capacity,
             workers: workers.max(1),
         }
@@ -297,6 +304,7 @@ impl ServerState {
                 };
                 let busy = running_count(&inner);
                 drop(inner);
+                self.changed.notify_all();
                 bbgnn_obs::event!("serve/job_state", id = id, state = "running");
                 bbgnn_obs::event!("serve/workers_busy", busy = busy, workers = self.workers);
                 return Popped::Work(id, Box::new(job));
@@ -330,6 +338,7 @@ impl ServerState {
         let state = entry.phase.as_str();
         let busy = running_count(&inner);
         drop(inner);
+        self.changed.notify_all();
         let ctr = if cancelled {
             "serve/jobs_cancelled"
         } else {
@@ -354,6 +363,7 @@ impl ServerState {
                 entry.scope.cancel();
                 entry.job = None;
                 drop(inner);
+                self.changed.notify_all();
                 bbgnn_obs::counter("serve/jobs_cancelled", 1);
                 bbgnn_obs::event!("serve/job_state", id = id, state = "cancelled");
                 Some("cancelled")
@@ -369,11 +379,12 @@ impl ServerState {
         }
     }
 
-    /// Marks the server as draining and wakes the worker. Subsequent
-    /// submissions are refused with `503`.
+    /// Marks the server as draining and wakes the workers and every SSE
+    /// stream. Subsequent submissions are refused with `503`.
     pub fn stop(&self) {
         lock(&self.inner).stopping = true;
         self.work.notify_all();
+        self.changed.notify_all();
     }
 
     /// Whether [`stop`](Self::stop) has been called.
@@ -402,6 +413,21 @@ impl ServerState {
         let phase = inner.jobs.get(&id)?.phase;
         let doc = job_json_locked(&inner, id)?;
         Some((phase, doc))
+    }
+
+    /// SSE side: blocks until job `id` is no longer in phase `seen`, the
+    /// server drains, or `tick` elapses, whichever comes first. Returns at
+    /// once when one of the first two already holds, so a transition
+    /// between the caller's last snapshot and this call is never missed.
+    pub fn wait_change(&self, id: u64, seen: JobPhase, tick: Duration) {
+        let inner = lock(&self.inner);
+        let unchanged = |inner: &mut Inner| {
+            !inner.stopping && inner.jobs.get(&id).map(|e| e.phase) == Some(seen)
+        };
+        let _ = self
+            .changed
+            .wait_timeout_while(inner, tick, unchanged)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 
     /// The `GET /jobs` index: id, state, and key per job, in id order.
@@ -606,6 +632,90 @@ mod tests {
         assert!(snap.contains("\"state\": \"done\""), "{snap}");
         assert!(snap.contains("0.80±0.01"), "{snap}");
         assert!(snap.contains("\"warm\": false"), "{snap}");
+    }
+
+    fn result(outcome: CellOutcome) -> CellResult {
+        CellResult {
+            key: "cora/Clean/GCN".to_string(),
+            value: "0.80±0.01".to_string(),
+            outcome,
+            attempts: 1,
+            detail: None,
+            artifacts: Vec::new(),
+        }
+    }
+
+    fn running_job(state: &ServerState) -> u64 {
+        let id = state.submit(spec()).unwrap();
+        assert!(matches!(
+            state.next_job(Duration::from_millis(1)),
+            Popped::Work(w, _) if w == id
+        ));
+        id
+    }
+
+    /// Parks a `wait_change(id, seen)` with a 60 s tick, checks that it
+    /// stays parked while nothing changes, fires `trigger`, and asserts
+    /// the waiter returns long before the tick would have ended it.
+    fn assert_woken_by(state: &ServerState, id: u64, seen: JobPhase, trigger: impl FnOnce()) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                state.wait_change(id, seen, Duration::from_secs(60));
+                let _ = tx.send(());
+            });
+            assert!(
+                rx.recv_timeout(Duration::from_millis(100)).is_err(),
+                "returned with nothing changed"
+            );
+            trigger();
+            assert!(
+                rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+                "the transition did not wake the waiter"
+            );
+        });
+    }
+
+    #[test]
+    fn phase_changes_wake_waiters_on_queued_jobs() {
+        let state = ServerState::new(4, 1);
+        let picked = state.submit(spec()).unwrap();
+        assert_woken_by(&state, picked, JobPhase::Queued, || {
+            assert!(matches!(
+                state.next_job(Duration::from_millis(1)),
+                Popped::Work(..)
+            ));
+        });
+        let cancelled = state.submit(spec()).unwrap();
+        assert_woken_by(&state, cancelled, JobPhase::Queued, || {
+            assert_eq!(state.cancel(cancelled), Some("cancelled"));
+        });
+        let drained = state.submit(spec()).unwrap();
+        assert_woken_by(&state, drained, JobPhase::Queued, || state.stop());
+    }
+
+    #[test]
+    fn phase_changes_wake_waiters_on_running_jobs() {
+        let state = ServerState::new(4, 2);
+        let done = running_job(&state);
+        // The tick still bounds the wait: a running job's heartbeat.
+        state.wait_change(done, JobPhase::Running, Duration::from_millis(1));
+        assert_woken_by(&state, done, JobPhase::Running, || {
+            state.finish(done, result(CellOutcome::Ok), false);
+        });
+        assert_eq!(state.job_phase(done), Some(JobPhase::Done));
+
+        let cancelled = running_job(&state);
+        assert_woken_by(&state, cancelled, JobPhase::Running, || {
+            // DELETE only cancels the scope; the worker's `finish` with a
+            // skipped outcome is the transition.
+            assert_eq!(state.cancel(cancelled), Some("cancelling"));
+            state.finish(cancelled, result(CellOutcome::Skipped), false);
+        });
+        assert_eq!(state.job_phase(cancelled), Some(JobPhase::Cancelled));
+
+        let drained = running_job(&state);
+        assert_woken_by(&state, drained, JobPhase::Running, || state.stop());
     }
 
     #[test]
